@@ -2,7 +2,10 @@
 
 A block is "raw memory" from the allocator's point of view; the data
 structure that owns it (file chunk, queue segment, KV hash-slot shard)
-defines the layout and reports usage through :meth:`Block.set_used`.
+defines the layout, mutates it only through :meth:`Block.apply` (one
+payload op plus its usage delta, forwarded down a replica chain when the
+block heads one) and reports pure usage changes through
+:meth:`Block.set_used`.
 Usage drives the §3.3 elastic-scaling thresholds: crossing the high
 threshold raises an overload signal to the controller, and falling below
 the low threshold makes the block a merge candidate.
@@ -10,12 +13,19 @@ the low threshold makes the block a merge candidate.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.errors import BlockError
 
 #: Blocks are identified by opaque strings unique within a pool.
 BlockId = str
+
+#: One payload mutation, run as ``op(payload, *args)`` (see :meth:`Block.apply`).
+PayloadOp = Callable[..., Any]
+
+#: Write hook signature: ``hook(head, op, args)``; ``op`` is None for a
+#: usage-only or seal change.
+WriteHook = Callable[["Block", Optional[PayloadOp], Tuple[Any, ...]], None]
 
 
 class Block:
@@ -71,10 +81,11 @@ class Block:
         self._used = 0
         self._sealed = False
         # Write hook: chain replication (§4.2.2) attaches here so every
-        # usage change on a chain head propagates down the chain before
-        # the write is acknowledged. None on unreplicated blocks — the
+        # write on a chain head — the payload op plus the usage and seal
+        # it leaves behind — is forwarded down the chain before the
+        # write is acknowledged. None on unreplicated blocks — the
         # common path pays a single attribute check.
-        self._on_write: Optional[Callable[["Block"], None]] = None
+        self._on_write: Optional[WriteHook] = None
         # Accounting hook: the hosting server installs this so usage
         # changes update its running used-bytes total incrementally
         # (keeps server/pool ``used_bytes()`` O(1)). Receives the delta.
@@ -104,10 +115,35 @@ class Block:
         """Mark the block read-only for the owning data structure."""
         self._sealed = True
         if self._on_write is not None:
-            self._on_write(self)
+            self._on_write(self, None, ())
 
-    def set_used(self, used: int) -> None:
-        """Record the owning data structure's usage accounting."""
+    def apply(self, op: PayloadOp, *args: Any, delta: int = 0) -> Any:
+        """One write: run ``op(payload, *args)``, then move usage by ``delta``.
+
+        Every payload mutation of a data structure goes through here, so
+        a chain head's write hook can forward the *operation* — the same
+        ``op`` and ``args`` — to each backup (§4.2.2), which then equals
+        the head by construction. ``op`` must build any container it
+        installs afresh and ``args`` must be immutable, so no two
+        replicas ever share a mutable payload object. Returns what
+        ``op`` returns on this block.
+        """
+        if delta:
+            used = self._used + delta
+            if not 0 <= used <= self.capacity:
+                self._check_used(used)  # raises, naming the bound broken
+            result = op(self.payload, *args)
+            if self._acct is not None:
+                self._acct(delta)
+            self._used = used
+        else:
+            result = op(self.payload, *args)
+        self.acc += 1
+        if self._on_write is not None:
+            self._on_write(self, op, args)
+        return result
+
+    def _check_used(self, used: int) -> None:
         if used < 0:
             raise BlockError(f"used bytes must be >= 0, got {used}")
         if used > self.capacity:
@@ -115,17 +151,21 @@ class Block:
                 f"used={used} exceeds capacity={self.capacity} "
                 f"for block {self.block_id}"
             )
+
+    def set_used(self, used: int) -> None:
+        """Record the owning data structure's usage accounting."""
+        self._check_used(used)
         if self._acct is not None and used != self._used:
             self._acct(used - self._used)
         self._used = used
         self.acc += 1
         if self._on_write is not None:
-            self._on_write(self)
+            self._on_write(self, None, ())
 
     def mirror_used(self, used: int) -> None:
         """Set usage without firing the write hook.
 
-        Replica maintenance (chain propagation, block moves) mirrors the
+        Replica maintenance (chain forwarding, block moves) mirrors the
         head's usage onto a backup; firing ``_on_write`` there would
         re-enter the chain. Accounting still sees the change.
         """

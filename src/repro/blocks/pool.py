@@ -130,6 +130,10 @@ class MemoryPool:
         server = self._get_server(server_id)
         return [block.block_id for block in server.iter_allocated()]
 
+    def allocated_on(self, server_id: str) -> int:
+        """How many blocks are currently allocated on a server (O(1))."""
+        return self._get_server(server_id).allocated_blocks
+
     # ------------------------------------------------------------------
     # Allocation
     # ------------------------------------------------------------------
@@ -160,10 +164,16 @@ class MemoryPool:
         """Return a block to its hosting server's free list."""
         self._server_of(block_id).reclaim(block_id)
 
-    def is_allocated(self, block_id: BlockId) -> bool:
-        """Whether a block id is currently allocated (False if unknown)."""
+    def is_allocated(self, block_id: BlockId, server_id: Optional[str] = None) -> bool:
+        """Whether a block id is currently allocated (False if unknown).
+
+        With ``server_id``, also whether that server is the one hosting
+        it — O(1) either way.
+        """
         server = self._block_server.get(block_id)
         if server is None:
+            return False
+        if server_id is not None and server.server_id != server_id:
             return False
         try:
             slot = server._slot(block_id)

@@ -655,7 +655,7 @@ class JiffyController(ControlPlane):
         self._c_ops.inc()
         if not self.pool.has_server(server_id):
             raise BlockError(f"no server {server_id} in pool")
-        resident = len(self.pool.blocks_on(server_id))
+        resident = self.pool.allocated_on(server_id)
         if not self.pool.is_draining(server_id):
             self.pool.mark_draining(server_id)
             self._c_draining.inc()
@@ -780,7 +780,7 @@ class JiffyController(ControlPlane):
             return  # killed mid-drain
         if not self.pool.is_draining(server_id):
             return  # drain cancelled
-        if block_id not in self.pool.blocks_on(server_id):
+        if not self.pool.is_allocated(block_id, server_id):
             return  # already reclaimed or migrated
         self._move_block(server_id, block_id)
 
@@ -790,7 +790,7 @@ class JiffyController(ControlPlane):
             return
         if not self.pool.is_draining(server_id):
             return
-        if not self.pool.blocks_on(server_id):
+        if not self.pool.allocated_on(server_id):
             self._finish_leave(server_id)
         # else: stalled (pool was full) — tick() re-kicks the drain.
 

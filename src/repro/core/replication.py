@@ -6,14 +6,22 @@ logical block is backed by a chain of physical replicas on distinct
 servers; writes enter at the head and propagate to the tail before they
 are acknowledged, reads are served by the tail, so committed reads always
 observe fully replicated data.
+
+What travels down the chain is the *operation*, not the block: a data
+structure states each payload mutation once as an op
+(:meth:`Block.apply`), the head runs it, and the head's write hook runs
+the same op on every backup before the write is acknowledged. A write
+therefore costs O(write) per replica, whatever the block holds. The only
+full copy is :meth:`ReplicaManager.repair_chain`, where a fresh replica
+really does need the whole payload.
 """
 
 from __future__ import annotations
 
 import copy
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.blocks.block import Block, BlockId
+from repro.blocks.block import Block, BlockId, PayloadOp
 from repro.blocks.pool import MemoryPool
 from repro.errors import BlockError, CapacityError, ReplicationError
 from repro.telemetry import MetricsRegistry
@@ -57,6 +65,24 @@ class ReplicatedBlock:
             result = apply_write(replica)
         self.writes_acked += 1
         return result
+
+    def forward(
+        self, head: Block, op: Optional[PayloadOp], args: Tuple[Any, ...]
+    ) -> None:
+        """Write hook of the chain head: forward one write to the backups.
+
+        The head has already run ``op(head.payload, *args)``; each backup
+        runs the same op on its own payload, then mirrors the head's
+        usage and seal. ``op`` is None for a usage-only or seal change.
+        """
+        used = head.used
+        sealed = head.sealed
+        for backup in self.chain[1:]:
+            if op is not None:
+                op(backup.payload, *args)
+            backup.mirror_used(used)
+            backup._sealed = sealed
+        self.writes_acked += 1
 
     def read(self, apply_read: Callable[[Block], Any]) -> Any:
         """Serve a read from the tail (committed data only)."""
@@ -146,10 +172,12 @@ class ReplicaManager:
 
     With ``JiffyConfig(replication_factor=N)``, every block the allocator
     hands out becomes the *head* of a replica chain: N-1 backup blocks on
-    distinct servers shadow it, kept in sync by a write hook on the head
-    (:attr:`Block._on_write`) that propagates payload and usage down the
-    chain before each write is acknowledged — the chain-ack semantics of
-    §4.2.2 collapsed into one synchronous step.
+    distinct servers shadow it. The head's write hook
+    (:attr:`Block._on_write`, bound to :meth:`ReplicatedBlock.forward`)
+    applies each write's payload op to every backup and mirrors usage
+    and seal before the write is acknowledged, so a write costs what the
+    op costs, not what the block holds. The whole payload is copied only
+    by :meth:`repair_chain`, when a new replica joins a short chain.
 
     The manager also owns the failure-time transitions: promoting a
     surviving replica when the head's server is killed, splicing dead
@@ -211,7 +239,7 @@ class ReplicaManager:
         self.chains[primary.block_id] = chain
         for backup in backups:
             self._backup_index[backup.block_id] = primary.block_id
-        primary._on_write = self._hook_for(primary.block_id)
+        primary._on_write = chain.forward
         self._c_attached.inc()
         if chain.length < self.replication_factor:
             self._c_degraded.inc()
@@ -233,19 +261,6 @@ class ReplicaManager:
             except BlockError:
                 pass  # backup's server already left the pool
         return freed
-
-    def _hook_for(self, primary_id: BlockId) -> Callable[[Block], None]:
-        def _propagate(block: Block) -> None:
-            chain = self.chains.get(primary_id)
-            if chain is None:
-                return
-            for backup in chain.chain[1:]:
-                backup.payload = copy.deepcopy(block.payload)
-                backup.mirror_used(block.used)
-                backup._sealed = block.sealed
-            chain.writes_acked += 1
-
-        return _propagate
 
     # ------------------------------------------------------------------
     # Introspection
@@ -280,7 +295,7 @@ class ReplicaManager:
         """Head's server died: the first survivor becomes the new head.
 
         Returns the promoted block (its payload is the committed state —
-        writes propagated down the chain before acking), or None when no
+        every write's op ran on each replica before acking), or None when no
         replica survived.
         """
         chain = self.chains.pop(primary_id, None)
@@ -296,7 +311,7 @@ class ReplicaManager:
         self.chains[new_head.block_id] = chain
         for backup in survivors[1:]:
             self._backup_index[backup.block_id] = new_head.block_id
-        new_head._on_write = self._hook_for(new_head.block_id)
+        new_head._on_write = chain.forward
         self._c_promotions.inc()
         return new_head
 
@@ -315,7 +330,9 @@ class ReplicaManager:
         """Extend a short chain by one replica (background repair step).
 
         Returns True when a replica was added; False when the chain is
-        already full, gone, or the pool has no eligible server.
+        already full, gone, or the pool has no eligible server. The new
+        replica starts from a deep copy of the tail — the one place a
+        whole payload is copied; later writes reach it as forwarded ops.
         """
         chain = self.chains.get(primary_id)
         if chain is None or chain.length >= self.replication_factor:
@@ -381,7 +398,7 @@ class ReplicaManager:
         self.chains[new_head.block_id] = chain
         for backup in chain.chain[1:]:
             self._backup_index[backup.block_id] = new_head.block_id
-        new_head._on_write = self._hook_for(new_head.block_id)
+        new_head._on_write = chain.forward
 
     def __repr__(self) -> str:
         return (

@@ -1,8 +1,10 @@
 """Base machinery shared by Jiffy data structures.
 
 Implements the internal block API of Fig 6 in spirit: each data structure
-routes operations to blocks (``getBlock``), performs reads/writes/deletes
-against block payloads, and — the paper's key mechanism (§3.3) — watches
+routes operations to blocks (``getBlock``), reads block payloads directly
+and mutates them only through :meth:`Block.apply` (so a replicated
+block's backups receive the same op, §4.2.2), and — the paper's key
+mechanism (§3.3) — watches
 block usage against the high/low thresholds, signalling the controller to
 allocate or reclaim blocks and repartitioning data *inside the data
 plane* so compute tasks never move bytes themselves.

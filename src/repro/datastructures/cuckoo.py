@@ -20,8 +20,8 @@ class _EmptySlot:
     """Empty-slot sentinel, compared by identity (``is _EMPTY``).
 
     A singleton that survives ``copy``/``deepcopy``/pickle as itself:
-    tables inside block payloads are deep-copied down replica chains and
-    a cloned sentinel would defeat every identity check on the copy,
+    chain repair seeds a new replica with a deep copy of a block payload,
+    and a cloned sentinel would defeat every identity check on the copy,
     surfacing empty slots as live entries after a promotion.
     """
 

@@ -20,6 +20,18 @@ from repro.datastructures.base import DataStructure
 from repro.errors import DataStructureError
 
 
+# Payload ops (run on a chunk block and forwarded to its replicas; see
+# Block.apply). A chunk's payload is ``{"data": bytearray}``.
+
+
+def _init_chunk(payload: dict) -> None:
+    payload["data"] = bytearray()
+
+
+def _extend_chunk(payload: dict, data: memoryview) -> None:
+    payload["data"].extend(data)
+
+
 class JiffyFile(DataStructure):
     """Append-only byte file with random-access reads.
 
@@ -98,10 +110,9 @@ class JiffyFile(DataStructure):
             if not block.sealed:
                 return block
         block = self._allocate_block()
-        block.payload["data"] = bytearray()
-        # Zero-delta write: pushes the empty-chunk skeleton to chain
-        # replicas so a promoted backup is well-formed before any append.
-        block.add_used(0)
+        # The empty-chunk skeleton is a write of its own, so a promoted
+        # backup is well-formed before any append.
+        block.apply(_init_chunk)
         self._chunks.append((block.block_id, self._size))
         self._record_repartition("extend", 0)
         self._sync_metadata()
@@ -170,8 +181,7 @@ class JiffyFile(DataStructure):
                 block.seal()
                 continue
             take = min(room, len(remaining))
-            block.payload["data"].extend(remaining[:take])
-            block.add_used(take)
+            block.apply(_extend_chunk, remaining[:take], delta=take)
             self._size += take
             remaining = remaining[take:]
             if block.used >= self.high_limit:

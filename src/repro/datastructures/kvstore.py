@@ -37,7 +37,7 @@ from __future__ import annotations
 import hashlib
 from functools import partial
 from time import perf_counter
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.blocks.block import Block
 from repro.codec import decode_kv_pairs, encode_kv_pairs
@@ -59,6 +59,44 @@ def hash_slot(key: bytes, num_slots: int) -> int:
     """Stable key → hash-slot mapping (process-independent)."""
     digest = hashlib.blake2b(key, digest_size=8).digest()
     return int.from_bytes(digest, "little") % num_slots
+
+
+# Payload ops (run on a shard block and forwarded to its replicas; see
+# Block.apply). A shard's payload is ``{"table": CuckooHashTable,
+# "slots": set of owned hash slots}``.
+
+
+def _init_shard(payload: dict, slots: Iterable[int]) -> None:
+    payload["table"] = CuckooHashTable()
+    payload["slots"] = set(slots)
+
+
+def _put_pair(payload: dict, key_bytes: bytes, value: bytes) -> None:
+    payload["table"].put(key_bytes, value)
+
+
+def _delete_pair(payload: dict, key_bytes: bytes) -> bytes:
+    return payload["table"].delete(key_bytes)
+
+
+def _take_slots(
+    payload: dict, slots: Iterable[int], pairs: Iterable[Tuple[bytes, bytes]]
+) -> None:
+    """Adopt ``slots`` together with their ``pairs`` (a cut-over's target)."""
+    table = payload["table"]
+    for key_bytes, value in pairs:
+        table.put(key_bytes, value)
+    payload["slots"].update(slots)
+
+
+def _give_slots(
+    payload: dict, slots: Iterable[int], keys: Iterable[bytes]
+) -> None:
+    """Hand ``slots`` and their ``keys`` off (a cut-over's source)."""
+    table = payload["table"]
+    for key_bytes in keys:
+        table.delete(key_bytes)
+    payload["slots"].difference_update(slots)
 
 
 class SlotMigration:
@@ -189,13 +227,11 @@ class JiffyKVStore(DataStructure):
 
     def _init_block(self, slots: List[int]) -> Block:
         block = self._allocate_block()
-        block.payload["table"] = CuckooHashTable()
-        block.payload["slots"] = set(slots)
+        # The empty table/slot skeleton is a write of its own, so a
+        # promoted backup is well-formed before any put.
+        block.apply(_init_shard, tuple(slots))
         for slot in slots:
             self._slot_map[slot] = block.block_id
-        # Zero-delta write: pushes the empty table/slot skeleton to chain
-        # replicas so a promoted backup is well-formed before any put.
-        block.add_used(0)
         return block
 
     def _block_for(self, key_bytes: bytes) -> Block:
@@ -276,10 +312,9 @@ class JiffyKVStore(DataStructure):
             # until the migration makes room or cuts this slot over.
             self._force_room(block, migration, key_bytes, delta)
             continue
-        table.put(key_bytes, value)
+        block.apply(_put_pair, key_bytes, value, delta=delta)
         if old_value is None:
             self._size += 1
-        block.add_used(delta)
         self._publish("put", {"key": key_bytes, "value": value})
 
     def get(self, key) -> bytes:
@@ -316,8 +351,9 @@ class JiffyKVStore(DataStructure):
         self._poll_background()
         key_bytes = self._canonical(key)
         block = self._block_for(key_bytes)
-        table: CuckooHashTable = block.payload["table"]
-        value = table.delete(key_bytes)
+        # The bytes freed depend on the deleted value, so usage follows
+        # the op as a usage-only write.
+        value = block.apply(_delete_pair, key_bytes)
         block.add_used(-min(self._pair_cost(key_bytes, value), block.used))
         self._size -= 1
         self._publish("delete", {"key": key_bytes})
@@ -388,7 +424,9 @@ class JiffyKVStore(DataStructure):
         table: CuckooHashTable = block.payload["table"]
         for index, (key_bytes, value) in enumerate(group):
             slot = hash_slot(key_bytes, self.num_slots)
-            if self._slot_map.get(slot) != block.block_id:
+            # Compare with the routed id, not ``block.block_id``: a drain
+            # or kill promotion forwards the id the slot map still holds.
+            if self._slot_map.get(slot) != block_id:
                 return group[index:]  # cut over mid-group: re-route
             pair_bytes = self._pair_cost(key_bytes, value)
             old_value = table.get(key_bytes, default=None)
@@ -410,10 +448,9 @@ class JiffyKVStore(DataStructure):
                             raise self._cannot_fit(block, pair_bytes)
                         self._force_room(block, migration, key_bytes, delta)
                         return group[index:]  # re-route via refreshed map
-            table.put(key_bytes, value)
+            block.apply(_put_pair, key_bytes, value, delta=delta)
             if old_value is None:
                 self._size += 1
-            block.add_used(delta)
             self._publish("put", {"key": key_bytes, "value": value})
         return []
 
@@ -461,10 +498,9 @@ class JiffyKVStore(DataStructure):
         out: List[Optional[bytes]] = [None] * len(canon)
         for block_id, indices in groups.items():
             block = self._get_block(block_id)
-            table: CuckooHashTable = block.payload["table"]
             for index in indices:
                 key_bytes = canon[index]
-                value = table.delete(key_bytes)
+                value = block.apply(_delete_pair, key_bytes)
                 block.add_used(
                     -min(self._pair_cost(key_bytes, value), block.used)
                 )
@@ -510,11 +546,9 @@ class JiffyKVStore(DataStructure):
             return False  # Pool exhausted: stay overloaded rather than fail.
         slots = sorted(block.payload["slots"])
         moving = slots[len(slots) // 2 :]
-        new_block.payload["table"] = CuckooHashTable()
-        new_block.payload["slots"] = set()
-        # Zero-delta write: replicate the skeleton before the migration
-        # starts cutting slots over.
-        new_block.add_used(0)
+        # The skeleton is a write of its own, replicated before the
+        # migration starts cutting slots over.
+        new_block.apply(_init_shard, ())
         migration = SlotMigration(
             "split", block.block_id, new_block.block_id, moving
         )
@@ -576,13 +610,11 @@ class JiffyKVStore(DataStructure):
         """
         source = self._get_block(migration.source_id)
         target = self._get_block(migration.target_id)
-        source_table: CuckooHashTable = source.payload["table"]
-        target_table: CuckooHashTable = target.payload["table"]
-        moving = [
+        moving = tuple(
             (key_bytes, value)
-            for key_bytes, value in source_table.items()
+            for key_bytes, value in source.payload["table"].items()
             if hash_slot(key_bytes, self.num_slots) == slot
-        ]
+        )
         slot_bytes = sum(self._pair_cost(k, v) for k, v in moving)
         if target.used + slot_bytes > target.capacity:
             # The target filled up under foreground writes since the plan
@@ -590,13 +622,13 @@ class JiffyKVStore(DataStructure):
             # source, which keeps serving them — state is consistent.
             self._abort_migration(migration)
             return
-        for key_bytes, value in moving:
-            source_table.delete(key_bytes)
-            target_table.put(key_bytes, value)
-        source.payload["slots"].discard(slot)
-        target.payload["slots"].add(slot)
-        source.add_used(-min(slot_bytes, source.used))
-        target.add_used(slot_bytes)
+        source.apply(
+            _give_slots,
+            (slot,),
+            tuple(key_bytes for key_bytes, _ in moving),
+            delta=-min(slot_bytes, source.used),
+        )
+        target.apply(_take_slots, (slot,), moving, delta=slot_bytes)
         self._slot_map[slot] = migration.target_id
         migration.bytes_moved += slot_bytes
         # Cut-over is the moment a cached client's routing (and any
@@ -690,20 +722,22 @@ class JiffyKVStore(DataStructure):
             "kv.split", job=self.job_id, prefix=self.prefix
         ) as span:
             slots = sorted(block.payload["slots"])
-            moving = set(slots[len(slots) // 2 :])
-            new_block.payload["table"] = CuckooHashTable()
-            new_block.payload["slots"] = moving
-            table: CuckooHashTable = block.payload["table"]
-            new_table: CuckooHashTable = new_block.payload["table"]
-            moved_bytes = 0
-            for key_bytes, value in list(table.items()):
-                if hash_slot(key_bytes, self.num_slots) in moving:
-                    table.delete(key_bytes)
-                    new_table.put(key_bytes, value)
-                    moved_bytes += self._pair_cost(key_bytes, value)
-            block.payload["slots"] -= moving
-            block.add_used(-min(moved_bytes, block.used))
-            new_block.set_used(moved_bytes)
+            moving_slots = tuple(slots[len(slots) // 2 :])
+            moving = set(moving_slots)
+            pairs = tuple(
+                (key_bytes, value)
+                for key_bytes, value in block.payload["table"].items()
+                if hash_slot(key_bytes, self.num_slots) in moving
+            )
+            moved_bytes = sum(self._pair_cost(k, v) for k, v in pairs)
+            block.apply(
+                _give_slots,
+                moving_slots,
+                tuple(key_bytes for key_bytes, _ in pairs),
+                delta=-min(moved_bytes, block.used),
+            )
+            new_block.apply(_init_shard, ())
+            new_block.apply(_take_slots, moving_slots, pairs, delta=moved_bytes)
             for slot in moving:
                 self._slot_map[slot] = new_block.block_id
             self._bump_epoch("split", sorted(moving))
@@ -734,17 +768,18 @@ class JiffyKVStore(DataStructure):
             "kv.merge", job=self.job_id, prefix=self.prefix
         ) as span:
             target = candidates[0]
-            table: CuckooHashTable = block.payload["table"]
-            target_table: CuckooHashTable = target.payload["table"]
-            moved_bytes = 0
-            for key_bytes, value in table.pop_all():
-                target_table.put(key_bytes, value)
-                moved_bytes += self._pair_cost(key_bytes, value)
-            target.payload["slots"] |= block.payload["slots"]
+            # The source is reclaimed below, so only the target is written.
+            pairs = tuple(block.payload["table"].items())
+            moved_bytes = sum(self._pair_cost(k, v) for k, v in pairs)
+            target.apply(
+                _take_slots,
+                tuple(block.payload["slots"]),
+                pairs,
+                delta=moved_bytes,
+            )
             for slot in block.payload["slots"]:
                 self._slot_map[slot] = target.block_id
             self._bump_epoch("merge", sorted(block.payload["slots"]))
-            target.add_used(moved_bytes)
             self.merges += 1
             self._c_merges.inc()
             event = self._record_repartition("merge", moved_bytes)

@@ -19,6 +19,28 @@ from repro.datastructures.base import ITEM_OVERHEAD_BYTES, DataStructure
 from repro.errors import DataStructureError, QueueEmptyError, QueueFullError
 
 
+# Payload ops (run on a segment block and forwarded to its replicas; see
+# Block.apply). A segment's payload is ``{"items": [...], "consumed":
+# int}`` plus ``"next"``, its successor's block id, once one exists.
+
+
+def _init_segment(payload: dict) -> None:
+    payload["items"] = []
+    payload["consumed"] = 0
+
+
+def _push_items(payload: dict, items: tuple) -> None:
+    payload["items"].extend(items)
+
+
+def _set_consumed(payload: dict, consumed: int) -> None:
+    payload["consumed"] = consumed
+
+
+def _link_next(payload: dict, block_id: str) -> None:
+    payload["next"] = block_id
+
+
 class JiffyQueue(DataStructure):
     """FIFO queue of byte items over linked blocks."""
 
@@ -93,20 +115,18 @@ class JiffyQueue(DataStructure):
             if i > 0:
                 prev = self._get_block(self._segments[i - 1])
                 if prev.payload.get("next") == old_id:
-                    prev.payload["next"] = new_id
+                    prev.apply(_link_next, new_id)
         if changed:
             self._sync_metadata()
 
     def _new_segment(self) -> Block:
         block = self._allocate_block()
-        block.payload["items"] = []
-        block.payload["consumed"] = 0
-        # Zero-delta write: pushes the empty-segment skeleton to chain
-        # replicas so a promoted backup is well-formed before any enqueue.
-        block.add_used(0)
+        # The empty-segment skeleton is a write of its own, so a promoted
+        # backup is well-formed before any enqueue.
+        block.apply(_init_segment)
         if self._segments:
             prev = self._get_block(self._segments[-1])
-            prev.payload["next"] = block.block_id
+            prev.apply(_link_next, block.block_id)
         self._segments.append(block.block_id)
         self._record_repartition("extend", 0)
         self._sync_metadata()
@@ -146,8 +166,7 @@ class JiffyQueue(DataStructure):
         item = bytes(item)
         cost = self._item_cost(item)
         block = self._tail_for(cost)
-        block.payload["items"].append(item)
-        block.add_used(cost)
+        block.apply(_push_items, (item,), delta=cost)
         self._num_items += 1
         if self._c_enqueued is not None:
             self._c_enqueued.inc()
@@ -162,21 +181,9 @@ class JiffyQueue(DataStructure):
         items = head.payload["items"]
         consumed = head.payload["consumed"]
         item = items[consumed]
-        head.payload["consumed"] = consumed + 1
-        head.add_used(-self._item_cost(item))
+        head.apply(_set_consumed, consumed + 1, delta=-self._item_cost(item))
         self._num_items -= 1
-        # A fully consumed head block is returned to the controller —
-        # queue blocks are removed without repartitioning (Table 2).
-        if head.payload["consumed"] >= len(items) and len(self._segments) > 1:
-            self._segments.pop(0)
-            self._record_repartition("shrink", 0)
-            self._reclaim_block(head)
-            self._sync_metadata()
-        elif head.payload["consumed"] >= len(items) and self._num_items == 0:
-            # Keep one (now empty) segment but clear it for reuse.
-            head.payload["items"] = []
-            head.payload["consumed"] = 0
-            head.set_used(0)
+        self._retire_head(head)
         if self._c_dequeued is not None:
             self._c_dequeued.inc()
         self._publish("dequeue", item)
@@ -214,43 +221,44 @@ class JiffyQueue(DataStructure):
 
     def _enqueue_batch_inner(self, items: List[bytes]) -> int:
         appended = 0
+        high_limit = self.high_limit
+        max_length = self.max_queue_length
         while appended < len(items):
             item = items[appended]
             if not isinstance(item, (bytes, bytearray)):
                 raise DataStructureError("queue items must be bytes")
-            if (
-                self.max_queue_length is not None
-                and self._num_items >= self.max_queue_length
-            ):
-                raise QueueFullError(
-                    f"queue at max_queue_length={self.max_queue_length}"
-                )
+            if max_length is not None and self._num_items >= max_length:
+                raise QueueFullError(f"queue at max_queue_length={max_length}")
             item = bytes(item)
             cost = self._item_cost(item)
             block = self._tail_for(cost)
-            stored = block.payload["items"]
-            # Fill this tail with the whole run that fits before asking
-            # the controller for the next segment.
-            while True:
-                stored.append(item)
-                block.add_used(cost)
-                self._num_items += 1
-                self._publish("enqueue", item)
-                appended += 1
-                if appended >= len(items):
+            # Gather the whole run that fits this tail, then land it as one
+            # write before asking the controller for the next segment.
+            run = [item]
+            run_cost = cost
+            error = None
+            while appended + len(run) < len(items):
+                if max_length is not None and self._num_items + len(run) >= max_length:
                     break
-                if (
-                    self.max_queue_length is not None
-                    and self._num_items >= self.max_queue_length
-                ):
-                    break
-                item = items[appended]
+                item = items[appended + len(run)]
                 if not isinstance(item, (bytes, bytearray)):
-                    raise DataStructureError("queue items must be bytes")
+                    # Raised once the run before it has landed, exactly
+                    # where item-by-item enqueues would have stopped.
+                    error = DataStructureError("queue items must be bytes")
+                    break
                 item = bytes(item)
                 cost = self._item_cost(item)
-                if block.used + cost > self.high_limit:
+                if block.used + run_cost + cost > high_limit:
                     break
+                run.append(item)
+                run_cost += cost
+            block.apply(_push_items, tuple(run), delta=run_cost)
+            self._num_items += len(run)
+            for item in run:
+                self._publish("enqueue", item)
+            appended += len(run)
+            if error is not None:
+                raise error
         return appended
 
     def dequeue_batch(self, max_items: int) -> List[bytes]:
@@ -271,24 +279,36 @@ class JiffyQueue(DataStructure):
             consumed = head.payload["consumed"]
             take = min(max_items - len(out), len(stored) - consumed)
             chunk = stored[consumed : consumed + take]
-            head.payload["consumed"] = consumed + take
-            head.add_used(-sum(self._item_cost(item) for item in chunk))
+            head.apply(
+                _set_consumed,
+                consumed + take,
+                delta=-sum(self._item_cost(item) for item in chunk),
+            )
             self._num_items -= take
             for item in chunk:
                 self._publish("dequeue", item)
             out.extend(chunk)
-            if head.payload["consumed"] >= len(stored) and len(self._segments) > 1:
-                self._segments.pop(0)
-                self._record_repartition("shrink", 0)
-                self._reclaim_block(head)
-                self._sync_metadata()
-            elif head.payload["consumed"] >= len(stored) and self._num_items == 0:
-                head.payload["items"] = []
-                head.payload["consumed"] = 0
-                head.set_used(0)
+            self._retire_head(head)
         if out and self._c_dequeued is not None:
             self._c_dequeued.inc(len(out))
         return out
+
+    def _retire_head(self, head: Block) -> None:
+        """After a dequeue: recycle the head segment once fully consumed.
+
+        A consumed head with successors is returned to the controller —
+        queue blocks are removed without repartitioning (Table 2); the
+        last segment of an emptied queue is kept and cleared for reuse.
+        """
+        if head.payload["consumed"] < len(head.payload["items"]):
+            return
+        if len(self._segments) > 1:
+            self._segments.pop(0)
+            self._record_repartition("shrink", 0)
+            self._reclaim_block(head)
+            self._sync_metadata()
+        elif self._num_items == 0:
+            head.apply(_init_segment, delta=-head.used)
 
     def peek(self) -> bytes:
         """The oldest item, without removing it."""

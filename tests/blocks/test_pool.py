@@ -41,6 +41,18 @@ class TestPlacement:
         with pytest.raises(BlockError):
             pool.get_block("zzz:9")
 
+    def test_allocated_on_server(self, pool):
+        """The O(1) checks a drain step makes instead of listing blocks."""
+        block = pool.allocate()
+        other = "b" if block.server_id == "a" else "a"
+        assert pool.is_allocated(block.block_id, block.server_id)
+        assert not pool.is_allocated(block.block_id, other)
+        assert pool.allocated_on(block.server_id) == 1
+        assert pool.allocated_on(other) == 0
+        pool.reclaim(block.block_id)
+        assert not pool.is_allocated(block.block_id, block.server_id)
+        assert pool.allocated_on(block.server_id) == 0
+
 
 class TestClusterScaling:
     def test_add_server_generates_ids(self):
